@@ -33,7 +33,7 @@ lint:
 # controller tick, the Equation-8 knapsack ablation, the constrained
 # least-squares kernel, the raw scheduler throughput, the fleet-scale
 # batch runtime (fresh vs reused-session vs streaming runs/sec), the
-# serving layer (admission + batching + warm-session requests/sec with
+# serving layer (admission + queue + warm-session requests/sec with
 # p50/p95/p99 latency, per core count) and the columnar trace codec
 # (campaign bytes per retained run) — and records ns/op, B/op, allocs/op
 # plus every custom b.ReportMetric figure in BENCH_control.json so both

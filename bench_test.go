@@ -790,12 +790,12 @@ func BenchmarkFleetThroughput(b *testing.B) {
 }
 
 // BenchmarkServeThroughput prices the serving layer end to end: each
-// iteration is one request through the full admission + batching + warm
+// iteration is one request through the full admission + queue + warm
 // session + colfmt serialization pipeline (serve.Execute — HTTP framing
-// excluded, everything the batcher controls included). Closed-loop clients
-// keep the queue fed so batches coalesce as they do under live load, and
-// the server's own registry supplies the latency percentiles the /v1/metrics
-// endpoint would report. Sub-benchmarks pin the worker count: cores=1 is
+// excluded, everything the serve runtime controls included). Closed-loop
+// clients keep the queue fed as it is under live load, and the server's
+// own registry supplies the latency percentiles the /v1/metrics endpoint
+// would report. Sub-benchmarks pin the worker count: cores=1 is
 // the honest single-core figure every machine records; the multi-core point
 // only exists where the hardware does (the ≥2x scaling acceptance runs
 // there), so a 1-core CI box records cores=1 rather than a fake scaled
@@ -821,7 +821,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 						return true
 					case 429:
 						// Closed loop briefly overran the queue; the retry
-						// re-enters admission once the worker drains a batch.
+						// re-enters admission once a worker takes a request.
 						continue
 					default:
 						b.Errorf("status %d: %s", resp.Status, resp.Body)

@@ -1,12 +1,12 @@
 // Command autoe2e-serve runs the simulation-as-a-service server: an
-// HTTP/JSON front end over the zero-allocation session runtime. Requests
-// are coalesced into per-worker batches (size/max-wait flush), admission
-// is bounded with explicit 429 backpressure, and SIGINT/SIGTERM drains
-// every accepted request before exit.
+// HTTP/JSON front end over the zero-allocation session runtime. Workers
+// pull requests straight from a bounded admission queue, overload is
+// answered with explicit 429 backpressure, and SIGINT/SIGTERM drains every
+// accepted request before exit.
 //
 // Usage:
 //
-//	autoe2e-serve [-addr :8080] [-workers N] [-batch 16] [-maxwait 2ms] [-queue N]
+//	autoe2e-serve [-addr :8080] [-workers N] [-queue N] [-drain 30s]
 //
 // Endpoints:
 //
@@ -35,16 +35,12 @@ func main() {
 	log.SetPrefix("autoe2e-serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "session workers (default GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "max batch size before flush (default 16)")
-	maxWait := flag.Duration("maxwait", 0, "max batch wait before flush (default 2ms)")
-	queue := flag.Int("queue", 0, "admission queue depth (default 4*workers*batch)")
+	queue := flag.Int("queue", 0, "admission queue depth (default 64*workers)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	flag.Parse()
 
 	srv := serve.NewServer(serve.Options{
 		Workers:    *workers,
-		MaxBatch:   *batch,
-		MaxWait:    *maxWait,
 		QueueDepth: *queue,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -66,7 +62,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Stop accepting connections first, then drain the batch runtime so
+	// Stop accepting connections first, then drain the serve runtime so
 	// every request a handler admitted gets its response written.
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)

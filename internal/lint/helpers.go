@@ -15,7 +15,7 @@ func isInternalPkg(path string) bool {
 
 // isWallClockPkg reports whether the import path is sanctioned for
 // wall-clock time use: internal/serve (and its subpackages) runs on real
-// time by design — flush timers, latency histograms, Retry-After — while
+// time by design — latency histograms, Retry-After — while
 // simulation time stays inside the sessions it drives.
 func isWallClockPkg(path string) bool {
 	return strings.HasSuffix(path, "/internal/serve") ||

@@ -1,7 +1,7 @@
 // Package serve is the network-facing face of the batch runtime: a
 // long-running HTTP/JSON service that admits simulation run requests and
-// sweep campaigns, coalesces them into per-worker session batches, and
-// answers with summary JSON or columnar binary traces.
+// sweep campaigns into a bounded queue, runs them on workers that own
+// warm sessions, and answers with summary JSON or columnar binary traces.
 //
 // The paper positions AutoE2E as middleware; this package is the
 // deployment shape of the reproduction — simulation as a service. The hot
@@ -12,7 +12,7 @@
 // allocations on top of the run itself (pinned by the alloc-gate test).
 //
 // Unlike every other internal package, serve lives on the wall clock by
-// design — batch flush timers, latency metrics, Retry-After estimates.
+// design — latency metrics, Retry-After estimates.
 // The nodeterminism analyzer sanctions exactly this package for
 // wall-clock use; simulation time stays inside the sessions.
 package serve
@@ -91,6 +91,12 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
+// maxSystems caps the interned-system cache. Specs are client-chosen (a
+// synthetic seed is any int64), so an uncapped cache would grow without
+// bound; a full cache is dropped, which costs each later shape one cold
+// session rebuild (Session.Run rebuilds when the *System pointer changes).
+const maxSystems = 64
+
 // systemCache interns resolved task systems by spec, so every request for
 // the same workload shares one *System pointer — the identity Session
 // warm-run reuse keys on.
@@ -129,7 +135,7 @@ func resolveSystem(ws WorkloadSpec) (*taskmodel.System, error) {
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want testbed, simulation, or synthetic)", ws.Name)
 	}
-	if systemCache.m == nil {
+	if systemCache.m == nil || len(systemCache.m) >= maxSystems {
 		systemCache.m = make(map[WorkloadSpec]*taskmodel.System)
 	}
 	systemCache.m[ws] = sys
@@ -137,8 +143,8 @@ func resolveSystem(ws WorkloadSpec) (*taskmodel.System, error) {
 }
 
 // shapeKey identifies the session shape a request needs: the system
-// identity plus the middleware arm. Requests with equal keys batch
-// together and run back-to-back on one warm session.
+// identity plus the middleware arm. A worker keeps one warm session per
+// key, so requests with equal keys skip the session rebuild.
 type shapeKey struct {
 	wl   WorkloadSpec
 	mode core.Mode
@@ -156,11 +162,10 @@ type resolved struct {
 	colfmt    bool
 	shape     shapeKey
 
-	// gate, when non-nil, parks the worker before the run until the channel
-	// is closed. Test support only (never settable from the wire): the
-	// backpressure tests use it to hold a worker busy deterministically
-	// instead of racing against simulation wall time.
-	gate chan struct{}
+	// hook, when non-nil, runs on the worker just before the run. Test
+	// support only (never settable from the wire): tests use it to hold a
+	// worker busy deterministically, or to panic inside a run.
+	hook func()
 }
 
 // resolve validates a RunSpec and interns its workload. It is the single
@@ -171,11 +176,14 @@ func resolve(spec *RunSpec) (resolved, error) {
 	if err != nil {
 		return r, err
 	}
-	if spec.DurationS <= 0 {
-		return r, fmt.Errorf("duration_s = %v, want > 0", spec.DurationS)
-	}
 	if spec.DurationS > 3600 {
 		return r, fmt.Errorf("duration_s = %v exceeds the 3600 s request cap", spec.DurationS)
+	}
+	// The simulation clock ticks in microseconds; a shorter duration would
+	// round to an empty run that the session refuses.
+	duration := simtime.FromSeconds(spec.DurationS)
+	if duration <= 0 {
+		return r, fmt.Errorf("duration_s = %v, want >= 1e-6", spec.DurationS)
 	}
 	if spec.Noise.Spread < 0 || spec.Noise.Spread >= 1 {
 		return r, fmt.Errorf("noise.spread = %v, want [0, 1)", spec.Noise.Spread)
@@ -194,7 +202,7 @@ func resolve(spec *RunSpec) (resolved, error) {
 	}
 	r.sys = sys
 	r.mode = mode
-	r.duration = simtime.FromSeconds(spec.DurationS)
+	r.duration = duration
 	r.durationS = spec.DurationS
 	r.noise = spec.Noise
 	r.noiseOn = spec.Noise.Spread > 0
@@ -251,8 +259,6 @@ func appendSummary(dst []byte, mode core.Mode, durationS float64, res *core.RunR
 func appendTiming(dst []byte, t Timing) []byte {
 	dst = append(dst, `{"queue_wait_ns":`...)
 	dst = strconv.AppendInt(dst, t.QueueWaitNs, 10)
-	dst = append(dst, `,"batch_wait_ns":`...)
-	dst = strconv.AppendInt(dst, t.BatchWaitNs, 10)
 	dst = append(dst, `,"run_ns":`...)
 	dst = strconv.AppendInt(dst, t.RunNs, 10)
 	dst = append(dst, `,"serialize_ns":`...)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,25 +14,18 @@ import (
 	"github.com/autoe2e/autoe2e/internal/trace/colfmt"
 )
 
-// Options tunes the batch runtime. The zero value of every field selects
+// Options tunes the serve runtime. The zero value of every field selects
 // its default.
 type Options struct {
 	// Workers is the number of session workers (default parallel.Workers(),
-	// i.e. GOMAXPROCS). Each worker owns warm core.Sessions keyed by
-	// workload shape and runs one batch at a time.
+	// i.e. GOMAXPROCS). Each worker pulls admitted requests straight from
+	// the admission queue and owns warm core.Sessions keyed by workload
+	// shape.
 	Workers int
-	// MaxBatch is the batch size that forces an immediate flush
-	// (default 16).
-	MaxBatch int
-	// MaxWait is the longest an open batch waits for co-batchable requests
-	// before flushing anyway (default 2ms). Under light load a fresh batch
-	// dispatches immediately when a worker is idle; MaxWait only prices
-	// coalescing when all workers are busy.
-	MaxWait time.Duration
 	// QueueDepth bounds admission: the hard cap on requests accepted but
-	// not yet picked up by the dispatcher (default 4×Workers×MaxBatch).
-	// Beyond it the server answers 429 + Retry-After — backpressure is
-	// explicit, memory is bounded.
+	// not yet started by a worker (default 64×Workers). Beyond it the
+	// server answers 429 + Retry-After — backpressure is explicit, memory
+	// is bounded.
 	QueueDepth int
 }
 
@@ -40,17 +34,17 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = parallel.Workers()
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 16
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers * o.MaxBatch
+		o.QueueDepth = 64 * o.Workers
 	}
 	return o
 }
+
+// maxWorkerSessions caps each worker's warm-session cache. Shapes are
+// client-chosen, so an uncapped cache would grow without bound; a full
+// cache is dropped, which costs the next request of each shape one cold
+// rebuild.
+const maxWorkerSessions = 16
 
 // nominalModel is the shared noise-free execution model. Hoisted so the
 // hot path assigns a prebuilt interface value instead of converting
@@ -65,9 +59,9 @@ type sweepParent struct {
 	done      chan struct{}
 }
 
-// pending is one admitted run riding through the batcher. It is pooled:
-// the handler that enqueued it waits on done, consumes buf, and returns it
-// to the pool. Workers never touch a pending after signalling it.
+// pending is one admitted run riding through the queue. It is pooled: the
+// handler that enqueued it waits on done, consumes buf, and returns it to
+// the pool. Workers never touch a pending after signalling it.
 type pending struct {
 	// resolved request (immutable after enqueue)
 	res        resolved
@@ -81,32 +75,23 @@ type pending struct {
 
 	// lifecycle
 	tEnqueue time.Time
-	tBatch   time.Time
 	done     chan struct{} // cap 1; unused when parent is set
 	parent   *sweepParent
 }
 
-// batch is a flush unit: same-shape pendings that run back-to-back on one
-// worker's warm session.
-type batch struct {
-	shape shapeKey
-	items []*pending
-}
-
-// Server is the batch runtime: a bounded admission queue feeding a
-// dispatcher that coalesces same-shape requests into batches, which
-// session-owning workers drain. It serves both the HTTP handlers
-// (server.go) and the in-process Execute path the benchmarks drive.
+// Server is the serve runtime: a bounded admission queue that
+// session-owning workers pull from directly, so no worker idles while
+// admitted work waits. It serves both the HTTP handlers (server.go) and
+// the in-process Execute path the benchmarks drive.
 type Server struct {
 	opts    Options
 	metrics Registry
 
-	// used counts admission reservations (queued requests not yet picked
-	// up by the dispatcher); it is CASed against QueueDepth so admit sends
-	// never block once a reservation is held.
+	// used counts admission reservations (queued requests no worker has
+	// started yet); it is CASed against QueueDepth so admit sends never
+	// block once a reservation is held.
 	used  atomic.Int64
 	admit chan *pending
-	work  chan *batch
 
 	// drainMu serializes admission against shutdown: enqueue holds the
 	// read side across the reservation + send, Shutdown takes the write
@@ -114,30 +99,30 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining bool
 
+	// sessions holds each worker's warm-session cache, indexed by worker.
+	// A worker owns its map exclusively while it runs.
+	sessions []map[shapeKey]*core.Session
+
 	wg          sync.WaitGroup
 	pendingPool sync.Pool
-	batchPool   sync.Pool
 }
 
-// NewServer starts the batch runtime: one dispatcher plus opts.Workers
-// session workers. Stop it with Shutdown (drains) or Close.
+// NewServer starts the serve runtime: opts.Workers session workers pulling
+// from one admission queue. Stop it with Shutdown (drains) or Close.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:  opts,
-		admit: make(chan *pending, opts.QueueDepth),
-		work:  make(chan *batch),
+		opts:     opts,
+		admit:    make(chan *pending, opts.QueueDepth),
+		sessions: make([]map[shapeKey]*core.Session, opts.Workers),
 	}
 	s.pendingPool.New = func() any {
 		return &pending{done: make(chan struct{}, 1)}
 	}
-	s.batchPool.New = func() any {
-		return &batch{items: make([]*pending, 0, opts.MaxBatch)}
-	}
-	s.wg.Add(1 + opts.Workers)
-	go s.dispatch()
-	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
+	s.wg.Add(opts.Workers)
+	for i := range s.sessions {
+		s.sessions[i] = make(map[shapeKey]*core.Session)
+		go s.worker(s.sessions[i])
 	}
 	return s
 }
@@ -202,7 +187,7 @@ var (
 )
 
 // enqueue admits one pending (reservation + queue send) or reports why it
-// cannot. On success the batcher owns p until it signals done.
+// cannot. On success a worker owns p until it signals done.
 func (s *Server) enqueue(p *pending) error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -244,143 +229,36 @@ func (s *Server) enqueueSweep(parent *sweepParent) error {
 	return nil
 }
 
-// dispatch is the batcher core: it pulls admitted pendings, groups them by
-// shape into open batches, and flushes a batch when it reaches MaxBatch,
-// when it has waited MaxWait, or — the idle fast path — immediately if a
-// worker is free the moment it opens. Open batches live in a slice (the
-// map is lookup-only) so flush order is deterministic arrival order.
-func (s *Server) dispatch() {
+// worker serves admitted requests until admit is closed and empty. It owns
+// one warm core.Session per workload shape and one reusable noise model, so
+// a warm request runs with the session's zero-allocation steady state and
+// serializes into the pending's recycled buffer.
+func (s *Server) worker(sessions map[shapeKey]*core.Session) {
 	defer s.wg.Done()
-	defer close(s.work)
-
-	var open []*batch
-	byShape := make(map[shapeKey]*batch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerArmed := false
-	// opened tracks each open batch's birth for the MaxWait deadline,
-	// parallel to open.
-	var opened []time.Time
-
-	remove := func(i int) {
-		delete(byShape, open[i].shape)
-		copy(open[i:], open[i+1:])
-		copy(opened[i:], opened[i+1:])
-		open[len(open)-1] = nil
-		open = open[:len(open)-1]
-		opened = opened[:len(opened)-1]
-	}
-
-	flushDue := func(now time.Time) {
-		for i := 0; i < len(open); {
-			if now.Sub(opened[i]) < s.opts.MaxWait {
-				i++
-				continue
-			}
-			bt := open[i]
-			remove(i)
-			s.work <- bt
-		}
-		if len(open) > 0 && !timerArmed {
-			d := s.opts.MaxWait - now.Sub(opened[0])
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
-			timerArmed = true
-		}
-	}
-
-	for {
-		select {
-		case p, ok := <-s.admit:
-			if !ok {
-				// Draining: flush every open batch in arrival order, then
-				// stop. Workers finish the remaining work before close(work)
-				// releases them.
-				if timerArmed && !timer.Stop() {
-					<-timer.C
-				}
-				for len(open) > 0 {
-					bt := open[0]
-					remove(0)
-					s.work <- bt
-				}
-				return
-			}
-			s.used.Add(-1)
-			now := time.Now()
-			p.timing.QueueWaitNs = now.Sub(p.tEnqueue).Nanoseconds()
-			p.tBatch = now
-			bt := byShape[p.res.shape]
-			if bt == nil {
-				bt = s.batchPool.Get().(*batch)
-				bt.shape = p.res.shape
-				bt.items = append(bt.items[:0], p)
-				// Idle-worker fast path: a free worker takes the fresh
-				// batch immediately — no MaxWait tax when there is no
-				// contention to amortize.
-				select {
-				case s.work <- bt:
-					continue
-				default:
-				}
-				byShape[p.res.shape] = bt
-				open = append(open, bt)
-				opened = append(opened, now)
-				if !timerArmed {
-					timer.Reset(s.opts.MaxWait)
-					timerArmed = true
-				}
-				continue
-			}
-			bt.items = append(bt.items, p)
-			if len(bt.items) >= s.opts.MaxBatch {
-				for i := range open {
-					if open[i] == bt {
-						remove(i)
-						break
-					}
-				}
-				s.work <- bt
-			}
-		case now := <-timer.C:
-			timerArmed = false
-			flushDue(now)
-		}
-	}
-}
-
-// worker drains batches: it owns one warm core.Session per workload shape
-// and one reusable noise model, so a warm request runs with the session's
-// zero-allocation steady state and serializes into the pending's recycled
-// buffer.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	sessions := make(map[shapeKey]*core.Session)
 	noise := exectime.NewNoise(exectime.Nominal{}, 0, 0)
-	for bt := range s.work {
-		// One session lookup per batch: every item shares the batch's shape,
-		// so the whole batch runs back-to-back on one warm session.
-		sess := sessions[bt.shape]
+	for p := range s.admit {
+		s.used.Add(-1)
+		p.timing.QueueWaitNs = time.Since(p.tEnqueue).Nanoseconds()
+		sess := sessions[p.res.shape]
 		if sess == nil {
+			if len(sessions) >= maxWorkerSessions {
+				clear(sessions)
+			}
 			sess = core.NewSession()
-			sessions[bt.shape] = sess
+			sessions[p.res.shape] = sess
 		}
-		for i, p := range bt.items {
-			bt.items[i] = nil
-			s.serveOne(sess, noise, p)
+		if !s.serveOne(sess, noise, p) {
+			// A run that panicked may have left the session half-updated:
+			// never reuse it.
+			delete(sessions, p.res.shape)
 		}
-		bt.items = bt.items[:0]
-		s.batchPool.Put(bt)
+		s.complete(p)
 	}
 }
 
-// serveOne runs one pending to completion: simulate, serialize, record
-// metrics, signal the waiter. The pending must not be touched afterwards —
-// signalling transfers ownership back to the handler.
+// serveOne runs one pending: simulate and serialize into p.buf. A panic
+// anywhere in the run answers p with a 500 instead of crashing the
+// process; serveOne then reports false so the worker discards sess.
 //
 // serveOne is deliberately NOT an effects //lint:certify root: the session
 // warm path it rides is certified at its own roots (core.runWarm /
@@ -390,12 +268,17 @@ func (s *Server) worker() {
 // per-function //lint:noalloc markers on its serialize/metrics leaves
 // (escape-replay verified), the //lint:certify root on Registry.observe,
 // and the steady-state allocation gate in serve_test.go.
-func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) {
-	if p.res.gate != nil {
-		<-p.res.gate
+func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			ok = false
+			s.fail(p, fmt.Sprint("run panicked: ", r))
+		}
+	}()
+	if p.res.hook != nil {
+		p.res.hook()
 	}
 	start := time.Now()
-	p.timing.BatchWaitNs = start.Sub(p.tBatch).Nanoseconds()
 
 	exec := nominalModel
 	if p.res.noiseOn {
@@ -412,31 +295,42 @@ func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending)
 	p.timing.RunNs = tRun.Sub(start).Nanoseconds()
 
 	if err != nil {
-		p.status = 500
-		p.errMsg = err.Error()
-		p.buf = appendError(p.buf[:0], p.errMsg, 0)
-		s.metrics.runErrors.Add(1)
-	} else {
-		p.status = 200
-		p.buf = p.buf[:0]
-		if p.res.colfmt {
-			if p.standalone {
-				p.buf = colfmt.AppendMagic(p.buf)
-			}
-			p.buf = colfmt.AppendRun(p.buf, res.Trace)
-			p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
-		} else {
-			p.buf = append(p.buf, `{"summary":`...)
-			p.buf = appendSummary(p.buf, p.res.mode, p.res.durationS, res)
-			// SerializeNs covers the summary encode; the timing block that
-			// reports it is appended after the clock is read.
-			p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
-			p.buf = append(p.buf, `,"timing_ns":`...)
-			p.buf = appendTiming(p.buf, p.timing)
-			p.buf = append(p.buf, '}')
-		}
+		s.fail(p, err.Error())
+		return true
 	}
+	p.status = 200
+	p.buf = p.buf[:0]
+	if p.res.colfmt {
+		if p.standalone {
+			p.buf = colfmt.AppendMagic(p.buf)
+		}
+		p.buf = colfmt.AppendRun(p.buf, res.Trace)
+		p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+	} else {
+		p.buf = append(p.buf, `{"summary":`...)
+		p.buf = appendSummary(p.buf, p.res.mode, p.res.durationS, res)
+		// SerializeNs covers the summary encode; the timing block that
+		// reports it is appended after the clock is read.
+		p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+		p.buf = append(p.buf, `,"timing_ns":`...)
+		p.buf = appendTiming(p.buf, p.timing)
+		p.buf = append(p.buf, '}')
+	}
+	return true
+}
 
+// fail answers p with a 500 and msg.
+func (s *Server) fail(p *pending, msg string) {
+	p.status = 500
+	p.errMsg = msg
+	p.buf = appendError(p.buf[:0], msg, 0)
+	s.metrics.runErrors.Add(1)
+}
+
+// complete records p's metrics and signals its waiter. The pending must
+// not be touched afterwards — signalling transfers ownership back to the
+// handler.
+func (s *Server) complete(p *pending) {
 	s.metrics.observe(p.timing)
 	s.metrics.completed.Add(1)
 	if p.parent != nil {
@@ -483,7 +377,7 @@ type Response struct {
 	Timing Timing
 }
 
-// Execute runs one spec through the full admission + batch + session
+// Execute runs one spec through the full admission + queue + session
 // pipeline without HTTP framing: the alloc-gate tests and the serve
 // benchmark drive this to measure the runtime itself. resp is reused —
 // Body keeps its backing array across calls.

@@ -7,20 +7,18 @@ import (
 )
 
 // Timing is the flat per-request stage breakdown, in wall nanoseconds:
-// queue_wait is admission to dispatcher pickup, batch_wait is batch
-// membership to worker start, run is the simulation itself, serialize is
-// response encoding. Every response carries its own Timing; the registry
-// aggregates them for the /v1/metrics endpoint.
+// queue_wait is admission to worker pickup, run is the simulation itself,
+// serialize is response encoding. Every response carries its own Timing;
+// the registry aggregates them for the /v1/metrics endpoint.
 type Timing struct {
 	QueueWaitNs int64
-	BatchWaitNs int64
 	RunNs       int64
 	SerializeNs int64
 }
 
-// TotalNs is the end-to-end service time the batcher controlled.
+// TotalNs is the service time from admission to a serialized response.
 func (t Timing) TotalNs() int64 {
-	return t.QueueWaitNs + t.BatchWaitNs + t.RunNs + t.SerializeNs
+	return t.QueueWaitNs + t.RunNs + t.SerializeNs
 }
 
 // histogram buckets and sub-bucket resolution: values are classed by
@@ -115,11 +113,10 @@ func (h *histogram) mean() float64 {
 }
 
 // stageNames index the per-stage histograms, in CSV row order.
-var stageNames = [...]string{"queue_wait", "batch_wait", "run", "serialize", "total"}
+var stageNames = [...]string{"queue_wait", "run", "serialize", "total"}
 
 const (
 	stageQueueWait = iota
-	stageBatchWait
 	stageRun
 	stageSerialize
 	stageTotal
@@ -152,7 +149,6 @@ type Registry struct {
 //lint:noalloc atomic bumps into fixed histograms
 func (m *Registry) observe(t Timing) {
 	m.stages[stageQueueWait].observe(t.QueueWaitNs)
-	m.stages[stageBatchWait].observe(t.BatchWaitNs)
 	m.stages[stageRun].observe(t.RunNs)
 	m.stages[stageSerialize].observe(t.SerializeNs)
 	m.stages[stageTotal].observe(t.TotalNs())
@@ -171,7 +167,7 @@ func (m *Registry) Percentile(p float64) int64 {
 }
 
 // StagePercentile returns a lower bound on the p-quantile of one stage
-// ("queue_wait", "batch_wait", "run", "serialize", "total").
+// ("queue_wait", "run", "serialize", "total").
 func (m *Registry) StagePercentile(stage string, p float64) int64 {
 	for i, n := range stageNames {
 		if n == stage {

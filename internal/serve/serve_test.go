@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -142,7 +143,7 @@ func TestRunGoldenSummary(t *testing.T) {
 			if err := json.Unmarshal(body, &parsed); err != nil {
 				t.Fatalf("response is not valid JSON: %v", err)
 			}
-			for _, k := range []string{"queue_wait_ns", "batch_wait_ns", "run_ns", "serialize_ns"} {
+			for _, k := range []string{"queue_wait_ns", "run_ns", "serialize_ns"} {
 				if v, ok := parsed.TimingNs[k]; !ok || v < 0 {
 					t.Errorf("timing_ns[%q] = %d, %v", k, v, ok)
 				}
@@ -179,7 +180,7 @@ func TestRunGoldenColfmt(t *testing.T) {
 // TestSweepGolden pins a sweep response to the library results for the
 // same per-seed configs, in seed order, for both body formats.
 func TestSweepGolden(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, MaxBatch: 4})
+	_, ts := newTestServer(t, Options{Workers: 2})
 	seeds := []int64{3, 1, 4, 1, 5}
 
 	var wantCol []byte
@@ -222,26 +223,30 @@ func TestSweepGolden(t *testing.T) {
 	})
 }
 
+// validationCases are requests the admission gate must refuse with 400.
+var validationCases = []struct {
+	name, path, body string
+}{
+	{"bad json", "/v1/run", `{`},
+	{"unknown field", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"wat":1}`},
+	{"unknown workload", "/v1/run", `{"workload":{"name":"nope"},"duration_s":0.1}`},
+	{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
+	{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},
+	{"huge duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e9}`},
+	{"sub-tick duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e-9}`},
+	{"bad spread", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":1.5}}`},
+	{"bad trace", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"trace":"nope"}`},
+	{"synthetic too big", "/v1/run", `{"workload":{"name":"synthetic","ecus":100,"tasks":10},"duration_s":0.1}`},
+	{"sweep both", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"seeds":[1],"count":2}`},
+	{"sweep neither", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1}}`},
+	{"sweep no noise", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1},"count":4}`},
+	{"sweep huge count", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"count":1000000000000}`},
+}
+
 // TestValidation covers the admission gate's 400s.
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := []struct {
-		name, path, body string
-	}{
-		{"bad json", "/v1/run", `{`},
-		{"unknown field", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"wat":1}`},
-		{"unknown workload", "/v1/run", `{"workload":{"name":"nope"},"duration_s":0.1}`},
-		{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
-		{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},
-		{"huge duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e9}`},
-		{"bad spread", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":1.5}}`},
-		{"bad trace", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"trace":"nope"}`},
-		{"synthetic too big", "/v1/run", `{"workload":{"name":"synthetic","ecus":100,"tasks":10},"duration_s":0.1}`},
-		{"sweep both", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"seeds":[1],"count":2}`},
-		{"sweep neither", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1}}`},
-		{"sweep no noise", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1},"count":4}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+tc.path, tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
@@ -253,10 +258,23 @@ func TestValidation(t *testing.T) {
 
 // TestShutdownDrain asserts the graceful-shutdown contract: every request
 // accepted before Shutdown gets a complete response, none are dropped.
+// Single runs cycle through noisy testbed seeds and the four golden shapes
+// while a sweep runs alongside, so both workers take work across shapes;
+// every body must still match the library path.
 func TestShutdownDrain(t *testing.T) {
-	s := NewServer(Options{Workers: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 256})
+	s := NewServer(Options{Workers: 2, QueueDepth: 256})
 	const n = 64
-	spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.05, Noise: NoiseSpec{Spread: 0.1}}
+	specs := make([]RunSpec, n)
+	for i := range specs {
+		if i%2 == 0 {
+			specs[i] = RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.05, Noise: NoiseSpec{Spread: 0.1, Seed: int64(i)}}
+		} else {
+			specs[i] = goldenSpecs[(i/2)%len(goldenSpecs)].spec
+		}
+	}
+	sweepBase := RunSpec{Workload: WorkloadSpec{Name: "simulation"}, Mode: "eucon", DurationS: 0.05, Noise: NoiseSpec{Spread: 0.1}}
+	seeds := []int64{2, 7, 1, 8}
+	const sweepBody = `{"base":{"workload":{"name":"simulation"},"mode":"eucon","duration_s":0.05,"noise":{"spread":0.1}},"seeds":[2,7,1,8]}`
 
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
@@ -265,18 +283,22 @@ func TestShutdownDrain(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sp := spec
-			sp.Noise.Seed = int64(i)
 			var resp Response
-			s.Execute(&sp, &resp)
+			s.Execute(&specs[i], &resp)
 			statuses[i] = resp.Status
 			bodies[i] = append([]byte(nil), resp.Body...)
 		}(i)
 	}
+	sweep := httptest.NewRecorder()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.Handler().ServeHTTP(sweep, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(sweepBody)))
+	}()
 	// Shutdown only after every request has been admitted: accepted is
 	// bumped under the admission read-lock, and Shutdown's write-lock
 	// serializes against in-flight enqueues.
-	for s.metrics.Accepted() < n {
+	for s.metrics.Accepted() < uint64(n+len(seeds)) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -290,61 +312,82 @@ func TestShutdownDrain(t *testing.T) {
 		if statuses[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d (%s) — accepted request dropped or failed", i, statuses[i], bodies[i])
 		}
-		if len(bodies[i]) == 0 {
-			t.Fatalf("request %d: empty body", i)
+		want := append([]byte(`{"summary":`), librarySummary(t, &specs[i])...)
+		if !bytes.HasPrefix(bodies[i], want) {
+			t.Fatalf("request %d: body diverges from library core.RunAll\n got: %.200s\nwant: %.200s", i, bodies[i], want)
 		}
 	}
-	if got, want := s.metrics.Completed(), uint64(n); got != want {
+	if sweep.Code != http.StatusOK {
+		t.Fatalf("sweep: status %d (%s)", sweep.Code, sweep.Body.Bytes())
+	}
+	got := sweep.Body.Bytes()
+	for _, seed := range seeds {
+		sp := sweepBase
+		sp.Noise.Seed = seed
+		want := librarySummary(t, &sp)
+		idx := bytes.Index(got, want)
+		if idx < 0 {
+			t.Fatalf("sweep: seed %d summary missing or out of order", seed)
+		}
+		got = got[idx+len(want):]
+	}
+	if got, want := s.metrics.Completed(), uint64(n+len(seeds)); got != want {
 		t.Fatalf("completed = %d, want %d", got, want)
 	}
 	// Post-drain requests are refused with the draining status.
 	var resp Response
-	s.Execute(&spec, &resp)
+	s.Execute(&specs[0], &resp)
 	if resp.Status != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain status = %d, want 503", resp.Status)
 	}
 }
 
+// enqueueHooked admits one run of spec whose worker calls hook just before
+// the run. The caller waits on the returned pending's done channel.
+func enqueueHooked(t *testing.T, s *Server, spec *RunSpec, hook func()) *pending {
+	t.Helper()
+	res, err := resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.hook = hook
+	p := s.getPending()
+	p.res = res
+	p.standalone = true
+	if err := s.enqueue(p); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	return p
+}
+
 // TestBackpressure asserts the bounded-queue contract under overload:
 // admission never exceeds QueueDepth, the overflow is refused with 429 +
 // Retry-After (never buffered), and every accepted request completes.
-// The single worker is parked on a test gate so queue occupancy is
+// The single worker is parked in a test hook so queue occupancy is
 // deterministic, not a race against simulation wall time.
 func TestBackpressure(t *testing.T) {
-	s := NewServer(Options{Workers: 1, MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 2})
+	s := NewServer(Options{Workers: 1, QueueDepth: 2})
 	defer s.Close()
 
 	gate := make(chan struct{})
 	spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01}
-	res, err := resolve(&spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.gate = gate
-	hold := s.getPending()
-	hold.res = res
-	hold.standalone = true
-	if err := s.enqueue(hold); err != nil {
-		t.Fatalf("enqueue hold: %v", err)
-	}
-	// Wait for the idle worker to take the hold batch and park on the
-	// gate: the queue drains (used back to 0) the moment the dispatcher
-	// hands it off.
+	hold := enqueueHooked(t, s, &spec, func() { <-gate })
+	// Wait for the idle worker to take the hold request and park in its
+	// hook: the reservation is released (used back to 0) the moment a
+	// worker starts a request.
 	for s.metrics.Accepted() < 1 || s.used.Load() != 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
 
-	// Two fillers coalesce into one batch; the dispatcher flushes it and
-	// blocks handing it to the parked worker, so the queue stays drained
-	// but the pipeline is wedged.
-	fill := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01}
+	// Two fillers take both queue slots. With the only worker parked they
+	// stay queued, and QueueDepth still counts them.
 	var bg sync.WaitGroup
 	launch := func(wantOK bool) {
 		bg.Add(1)
 		go func() {
 			defer bg.Done()
 			var resp Response
-			sp := fill
+			sp := spec
 			s.Execute(&sp, &resp)
 			if wantOK && resp.Status != http.StatusOK {
 				t.Errorf("status = %d, want 200: %s", resp.Status, resp.Body)
@@ -365,20 +408,19 @@ func TestBackpressure(t *testing.T) {
 		time.Sleep(50 * time.Microsecond)
 	}
 
-	// 2× overload: QueueDepth is 2, so of four more requests exactly two
-	// can reserve slots; the rest must get an immediate 429 — bounded
-	// memory, no unbounded buffering, no timeouts.
+	// Overload: the queue is full, so all four more requests must get an
+	// immediate 429 — bounded memory, no unbounded buffering, no timeouts.
 	for i := 0; i < 4; i++ {
 		launch(false)
 	}
-	for s.metrics.Rejected() < 2 {
+	for s.metrics.Rejected() < 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("rejected = %d after overload, want 2", s.metrics.Rejected())
+			t.Fatalf("rejected = %d after overload, want 4", s.metrics.Rejected())
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	if acc, rej := s.metrics.Accepted(), s.metrics.Rejected(); acc != 5 || rej != 2 {
-		t.Fatalf("accepted = %d, rejected = %d; want 5 and 2", acc, rej)
+	if acc, rej := s.metrics.Accepted(), s.metrics.Rejected(); acc != 3 || rej != 4 {
+		t.Fatalf("accepted = %d, rejected = %d; want 3 and 4", acc, rej)
 	}
 
 	close(gate)
@@ -393,8 +435,80 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicIsolated asserts that a panic inside a run answers that
+// request with a 500 and a message, throws away the worker's session for
+// the shape, and leaves the worker serving byte-identical results.
+func TestWorkerPanicIsolated(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewServer(Options{Workers: 1})
+	spec := goldenSpecs[0].spec
+	want := append([]byte(`{"summary":`), librarySummary(t, &spec)...)
+	var resp Response
+	s.Execute(&spec, &resp) // warms the worker's session for the shape
+	if resp.Status != http.StatusOK {
+		t.Fatalf("warm status = %d: %s", resp.Status, resp.Body)
+	}
+
+	p := enqueueHooked(t, s, &spec, func() { panic("boom") })
+	<-p.done
+	if p.status != http.StatusInternalServerError || string(p.buf) != `{"error":"run panicked: boom"}` {
+		t.Fatalf("panicking run answered %d %s, want 500 with the panic message", p.status, p.buf)
+	}
+	// The worker drops the session before it signals done.
+	if _, ok := s.sessions[0][p.res.shape]; ok {
+		t.Fatal("the session a run panicked on is still cached")
+	}
+	s.putPending(p)
+
+	s.Execute(&spec, &resp)
+	if resp.Status != http.StatusOK || !bytes.HasPrefix(resp.Body, want) {
+		t.Fatalf("after the panic: status %d, body %.200s; want 200 and %.200s", resp.Status, resp.Body, want)
+	}
+	if acc, comp := s.metrics.Accepted(), s.metrics.Completed(); acc != comp {
+		t.Fatalf("accepted %d != completed %d", acc, comp)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after Close, %d before NewServer", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCachesBounded asserts that client-chosen workloads cannot grow the
+// interned-system cache or a worker's session cache past their caps, and
+// that eviction only costs cold runs: responses stay byte-identical.
+func TestCachesBounded(t *testing.T) {
+	s := NewServer(Options{Workers: 1})
+	var resp Response
+	for seed := int64(1); seed <= maxSystems+maxWorkerSessions; seed++ {
+		spec := RunSpec{Workload: WorkloadSpec{Name: "synthetic", Seed: seed, ECUs: 2, Tasks: 3}, DurationS: 0.02}
+		s.Execute(&spec, &resp)
+		want := append([]byte(`{"summary":`), librarySummary(t, &spec)...)
+		if resp.Status != http.StatusOK || !bytes.HasPrefix(resp.Body, want) {
+			t.Fatalf("seed %d: status %d, body %.200s; want 200 and %.200s", seed, resp.Status, resp.Body, want)
+		}
+		systemCache.mu.Lock()
+		n := len(systemCache.m)
+		systemCache.mu.Unlock()
+		if n > maxSystems {
+			t.Fatalf("seed %d: %d interned systems, cap %d", seed, n, maxSystems)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.sessions[0]); n > maxWorkerSessions {
+		t.Fatalf("worker holds %d sessions, cap %d", n, maxWorkerSessions)
+	}
+}
+
 // TestExecuteWarmAllocs gates the steady-state per-request allocation
-// count of the full admission → batch → session → serialize pipeline, the
+// count of the full admission → queue → session → serialize pipeline, the
 // serve analogue of the hot-path alloc gates in bench_test.go.
 func TestExecuteWarmAllocs(t *testing.T) {
 	if testing.Short() {
@@ -440,7 +554,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	csv := buf.String()
 	for _, want := range []string{
 		"stage,count,mean_ns,p50_ns,p95_ns,p99_ns,max_ns",
-		"queue_wait,", "batch_wait,", "run,", "serialize,", "total,",
+		"queue_wait,", "run,", "serialize,", "total,",
 		"counter,value", "accepted,", "rejected_429,", "completed,",
 	} {
 		if !strings.Contains(csv, want) {
@@ -478,4 +592,79 @@ func TestHistogram(t *testing.T) {
 	if got := bucketLow(bucketOf(12345)); got > 12345 || 12345-got > 12345/8 {
 		t.Errorf("bucketLow(bucketOf(12345)) = %d", got)
 	}
+}
+
+// Fuzz limits: inputs that would simulate longer in total, or on a larger
+// task set, are skipped so each input stays a few milliseconds of work.
+const (
+	fuzzMaxSimS  = 0.2
+	fuzzMaxTasks = 16
+)
+
+// fuzzCost decodes body the way the handler does and reports the total
+// simulated seconds and the task count it would run; ok is false when the
+// request would be refused before running.
+func fuzzCost(sweep bool, body []byte) (simS float64, tasks int, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var run RunSpec
+	runs := 1
+	if sweep {
+		var sw SweepSpec
+		if dec.Decode(&sw) != nil {
+			return 0, 0, false
+		}
+		seeds, err := sweepSeeds(&sw)
+		if err != nil {
+			return 0, 0, false
+		}
+		run, runs = sw.Base, len(seeds)
+	} else if dec.Decode(&run) != nil {
+		return 0, 0, false
+	}
+	r, err := resolve(&run)
+	if err != nil {
+		return 0, 0, false
+	}
+	return float64(runs) * r.durationS, len(r.sys.Tasks), true
+}
+
+// FuzzServeRequest posts arbitrary bodies to /v1/run and /v1/sweep on a
+// one-worker server. No input may panic the process, and every answer other
+// than 200 must be a refusal (4xx, or 503) with a JSON error message.
+func FuzzServeRequest(f *testing.F) {
+	for _, tc := range goldenSpecs {
+		f.Add(false, []byte(tc.json))
+	}
+	for _, tc := range validationCases {
+		f.Add(tc.path == "/v1/sweep", []byte(tc.body))
+	}
+	f.Add(true, []byte(`{"base":{"workload":{"name":"testbed"},"duration_s":0.02,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4]}`))
+	s := NewServer(Options{Workers: 1})
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, sweep bool, body []byte) {
+		if simS, tasks, ok := fuzzCost(sweep, body); ok && (simS > fuzzMaxSimS || tasks > fuzzMaxTasks) {
+			t.Skip("too much simulation for one fuzz input")
+		}
+		path := "/v1/run"
+		if sweep {
+			path = "/v1/sweep"
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		code := rec.Code
+		if code == http.StatusOK {
+			return
+		}
+		if code/100 != 4 && code != http.StatusServiceUnavailable {
+			t.Fatalf("status %d: %s", code, rec.Body.Bytes())
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("status %d body %q is not a JSON error with a message", code, rec.Body.Bytes())
+		}
+	})
 }

@@ -61,7 +61,6 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) error {
 // bodies (colfmt) that cannot carry it inline.
 func setTimingHeaders(h http.Header, t Timing) {
 	h.Set("X-Autoe2e-Queue-Wait-Ns", strconv.FormatInt(t.QueueWaitNs, 10))
-	h.Set("X-Autoe2e-Batch-Wait-Ns", strconv.FormatInt(t.BatchWaitNs, 10))
 	h.Set("X-Autoe2e-Run-Ns", strconv.FormatInt(t.RunNs, 10))
 	h.Set("X-Autoe2e-Serialize-Ns", strconv.FormatInt(t.SerializeNs, 10))
 }
@@ -101,22 +100,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepSeeds validates the sweep cardinality spec and returns the seed
-// list (Count is shorthand for 1..Count).
+// list (Count is shorthand for 1..Count). The run cap is checked before
+// Count sizes anything.
 func sweepSeeds(spec *SweepSpec) ([]int64, error) {
 	switch {
-	case len(spec.Seeds) > 0 && spec.Count > 0:
+	case (len(spec.Seeds) > 0) == (spec.Count > 0):
 		return nil, errors.New("sweep: set exactly one of seeds and count")
+	case len(spec.Seeds) > maxSweepRuns || spec.Count > maxSweepRuns:
+		return nil, errors.New("sweep exceeds " + strconv.Itoa(maxSweepRuns) + " runs; split the campaign")
 	case len(spec.Seeds) > 0:
 		return spec.Seeds, nil
-	case spec.Count > 0:
-		seeds := make([]int64, spec.Count)
-		for i := range seeds {
-			seeds[i] = int64(i + 1)
-		}
-		return seeds, nil
-	default:
-		return nil, errors.New("sweep: set exactly one of seeds and count")
 	}
+	seeds := make([]int64, spec.Count)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	return seeds, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -128,11 +127,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	seeds, err := sweepSeeds(&spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if len(seeds) > maxSweepRuns {
-		writeError(w, http.StatusBadRequest,
-			"sweep exceeds "+strconv.Itoa(maxSweepRuns)+" runs; split the campaign", 0)
 		return
 	}
 	if len(seeds) > s.opts.QueueDepth {
