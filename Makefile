@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet bench profile ci
+.PHONY: all build test race lint fmt vet perfbench bench profile ci
 
 all: build
 
@@ -81,4 +81,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build test race
+# perfbench vets and smoke-tests the repository benchmark (_perfbench/, its
+# own module). The leading underscore keeps it out of ./..., so without this
+# target an API change could break the benchmark unnoticed.
+perfbench:
+	cd _perfbench && $(GO) vet . && $(GO) test -short .
+
+ci: fmt vet lint build test race perfbench

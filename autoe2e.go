@@ -151,9 +151,9 @@ const (
 	Second      = simtime.Second
 )
 
-// Run executes one experiment: assembles the engine, scheduler and
-// middleware, applies the scenario events, and returns the collected
-// results.
+// Run executes one experiment on a fresh Session (which assembles the
+// engine, scheduler and middleware and applies the scenario events) and
+// returns the collected results.
 func Run(cfg RunConfig) (*RunResult, error) { return core.Run(cfg) }
 
 // NewSession returns an empty reusable runner; its first Run builds the

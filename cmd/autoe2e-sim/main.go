@@ -57,8 +57,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *duration > 0 {
-		cfg.Duration = simtime.FromSeconds(*duration)
+	if cfg.Duration, err = durationOverride(*duration, cfg.Duration); err != nil {
+		log.Fatal(err)
 	}
 
 	if *analyze {
@@ -87,6 +87,20 @@ func main() {
 		}
 		fmt.Printf("\ntrace written to %s\n", *csvPath)
 	}
+}
+
+// durationOverride applies the -duration flag: 0 keeps the scenario's
+// default length def, a positive number of seconds replaces it, and
+// anything else (negative, NaN, or too long for a simtime.Duration) is an
+// error rather than a silent fallback to the default.
+func durationOverride(seconds float64, def simtime.Duration) (simtime.Duration, error) {
+	if seconds == 0 {
+		return def, nil
+	}
+	if !(seconds > 0 && seconds < simtime.Unbounded.Seconds()) {
+		return 0, fmt.Errorf("-duration %v: want a positive number of simulated seconds (0 = scenario default)", seconds)
+	}
+	return simtime.FromSeconds(seconds), nil
 }
 
 func parseMode(s string) (core.Mode, error) {
@@ -189,6 +203,10 @@ func printSummary(cfg core.RunConfig, res *core.RunResult, mode core.Mode) {
 	total := cfg.Duration.Seconds()
 	for j := 0; j < sys.NumECUs; j++ {
 		s := res.Trace.Series(fmt.Sprintf("util.ecu%d", j))
+		if s == nil {
+			fmt.Printf("  ECU%d  %.3f | no samples: the run ended before the first control period\n", j+1, sys.UtilBound[j])
+			continue
+		}
 		lo, hi := s.WindowBounds(total*3/4, total)
 		settled := stats.Mean(s.V[lo:hi])
 		fmt.Printf("  ECU%d  %.3f | %s | %.3f\n", j+1, sys.UtilBound[j], trace.Sparkline(s, 50), settled)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/autoe2e/autoe2e/internal/core"
+	"github.com/autoe2e/autoe2e/internal/simtime"
 )
 
 func TestParseMode(t *testing.T) {
@@ -28,6 +30,29 @@ func TestParseMode(t *testing.T) {
 		}
 		if err == nil && got != tt.want {
 			t.Errorf("parseMode(%q) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
+
+func TestDurationOverride(t *testing.T) {
+	const def = 90 * simtime.Second
+	valid := []struct {
+		in   float64
+		want simtime.Duration
+	}{
+		{0, def},
+		{2.5, 2500 * simtime.Millisecond},
+		{400, 400 * simtime.Second},
+	}
+	for _, tt := range valid {
+		got, err := durationOverride(tt.in, def)
+		if err != nil || got != tt.want {
+			t.Errorf("durationOverride(%v) = %v, %v; want %v", tt.in, got, err, tt.want)
+		}
+	}
+	for _, in := range []float64{-5, -0.001, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if got, err := durationOverride(in, def); err == nil {
+			t.Errorf("durationOverride(%v) = %v, want an error", in, got)
 		}
 	}
 }
@@ -96,4 +121,22 @@ func TestBuildConfigSyntheticShape(t *testing.T) {
 		t.Errorf("synthetic shape = %d ECUs / %d tasks, want 4 / 9",
 			cfg.System.NumECUs, len(cfg.System.Tasks))
 	}
+}
+
+// TestPrintSummaryShortRun: a run that ends before the first control
+// period records no utilization samples; the summary must say so instead
+// of dereferencing a missing series.
+func TestPrintSummaryShortRun(t *testing.T) {
+	cfg, err := buildConfig("testbed", "accel", core.ModeAutoE2E, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Duration, err = durationOverride(0.5, cfg.Duration); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printSummary(cfg, res, core.ModeAutoE2E)
 }

@@ -183,12 +183,7 @@ func TestRunOnChainAndAttach(t *testing.T) {
 		Duration:   5 * simtime.Second,
 		OnChain:    func(ev sched.ChainEvent) { chains++ },
 		Attach: func(eng *simtime.Engine, st *taskmodel.State) {
-			var tick simtime.EventFunc
-			tick = func(now simtime.Time) {
-				ticks++
-				eng.After(100*simtime.Millisecond, tick)
-			}
-			eng.After(100*simtime.Millisecond, tick)
+			eng.Every(100*simtime.Millisecond, func(simtime.Time) { ticks++ })
 		},
 	})
 	if err != nil {

@@ -57,11 +57,6 @@ type RunConfig struct {
 	// reproduces the exact sample sequences of the replayed run. Plain
 	// runs ignore the field.
 	Rands []*simtime.Rand
-	// ReferenceSubstrate runs the experiment on the retained naive
-	// scheduler (sched.Reference) instead of the pooled production one.
-	// Test support only: the substrate golden tests require byte-identical
-	// results between the two over full closed loops.
-	ReferenceSubstrate bool
 }
 
 // RunResult carries everything the harnesses report on.
@@ -112,63 +107,18 @@ func (r *RunResult) MissRatio(i taskmodel.TaskID) float64 {
 	return r.Counters[i].MissRatio()
 }
 
-// Run executes one experiment: it validates the configuration, assembles
-// engine + scheduler + middleware, schedules the scenario events, runs to
-// cfg.Duration, and returns the collected results.
+// Run executes one experiment on a fresh Session and returns the collected
+// results. The result is a shallow copy of the session's, so it holds the
+// trace recorder, counters and final state but not the session's engine
+// arena; repeated runs of one shape should reuse a Session (or RunStream)
+// instead, which skips the assembly.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if cfg.System == nil {
-		return nil, fmt.Errorf("core: RunConfig.System is required")
-	}
-	if cfg.Exec == nil {
-		return nil, fmt.Errorf("core: RunConfig.Exec is required")
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("core: RunConfig.Duration = %v, want > 0", cfg.Duration)
-	}
-
-	eng := simtime.NewEngine()
-	state := taskmodel.NewState(cfg.System)
-	if cfg.Setup != nil {
-		cfg.Setup(state)
-	}
-	schedCfg := sched.Config{
-		Exec:      cfg.Exec,
-		LinkDelay: cfg.LinkDelay,
-		OnChain:   cfg.OnChain,
-	}
-	var scheduler sched.Driver
-	if cfg.ReferenceSubstrate {
-		scheduler = sched.NewReference(eng, state, schedCfg)
-	} else {
-		scheduler = sched.New(eng, state, schedCfg)
-	}
-	mw, err := NewMiddleware(eng, scheduler, cfg.Middleware, nil)
+	res, err := NewSession().Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	mw.onInner = cfg.OnInnerTick
-	for _, ev := range cfg.Events {
-		if ev.Do == nil {
-			return nil, fmt.Errorf("core: scenario event at %v has nil action", ev.At)
-		}
-		ev := ev
-		eng.Schedule(ev.At, func(simtime.Time) { ev.Do(state) })
-	}
-	if cfg.Attach != nil {
-		cfg.Attach(eng, state)
-	}
-	scheduler.Start()
-	mw.Start()
-	eng.Run(simtime.Time(cfg.Duration))
-	if err := mw.Err(); err != nil {
-		return nil, err
-	}
-
-	return &RunResult{
-		Trace:    mw.Recorder(),
-		Counters: scheduler.Counters(),
-		State:    state,
-	}, nil
+	out := *res
+	return &out, nil
 }
 
 // RunStream executes the experiments produced by next — pulled on demand,

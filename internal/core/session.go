@@ -13,9 +13,10 @@ import (
 // Session is a reusable experiment runner: one engine, scheduler, state and
 // middleware built once and reset between runs, so steady-state batch
 // execution (parameter sweeps, fleet evaluations, Monte Carlo seeds)
-// allocates approximately nothing per run. A Session produces byte-identical
-// traces, counters and final state to the fresh-allocation Run — the golden
-// and fuzz tests pin that equivalence.
+// allocates approximately nothing per run. The package-level Run is a fresh
+// Session's first run, and a warm Session produces byte-identical traces,
+// counters and final state to it — the golden and fuzz tests pin that
+// equivalence.
 //
 // The shape of a session — the task system and the middleware configuration
 // — is fixed by the first Run call; a later call with a different System
@@ -111,10 +112,10 @@ func validateRunConfig(cfg RunConfig) error {
 	return nil
 }
 
-// Run executes one experiment on the session's reusable plumbing, exactly
-// as the package-level Run would: same validation, same event ordering,
-// same results. ReferenceSubstrate configs delegate to the fresh-allocation
-// Run — the naive scheduler exists to be rebuilt from scratch.
+// Run executes one experiment on the session's reusable plumbing: it
+// validates the configuration, (re)builds engine + scheduler + middleware
+// when the shape changed, schedules the scenario events, runs to
+// cfg.Duration, and returns the session-owned result.
 //
 // Run itself only validates and routes; the warm steady-state path is
 // runWarm, whose interprocedural noalloc/nopanic/deterministic contract the
@@ -126,9 +127,6 @@ func (s *Session) Run(cfg RunConfig) (*RunResult, error) {
 	mwCfg := cfg.Middleware.withDefaults()
 	if err := mwCfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.ReferenceSubstrate {
-		return Run(cfg)
 	}
 
 	schedCfg := sched.Config{
@@ -152,15 +150,9 @@ func (s *Session) Run(cfg RunConfig) (*RunResult, error) {
 // this session to the configured end). Unlike Run it registers the
 // config's random streams (cfg.Rands plus what Exec carries) so a
 // subsequent Snapshot captures their mid-run states.
-//
-// ReferenceSubstrate is not supported: the naive oracle has no partial-run
-// or snapshot machinery, by design.
 func (s *Session) RunPartial(cfg RunConfig, until simtime.Time) error {
 	if err := validateRunConfig(cfg); err != nil {
 		return err
-	}
-	if cfg.ReferenceSubstrate {
-		return fmt.Errorf("core: RunPartial does not support ReferenceSubstrate")
 	}
 	if until < 0 || until > simtime.Time(cfg.Duration) {
 		return fmt.Errorf("core: RunPartial until %v outside [0, %v]", until, cfg.Duration)
@@ -212,9 +204,6 @@ func (s *Session) Resume(cfg RunConfig) (*RunResult, error) {
 	}
 	if cfg.System != nil && cfg.System != s.sys {
 		return nil, fmt.Errorf("core: Resume config System differs from the session's (leave it nil to continue the restored system)")
-	}
-	if cfg.ReferenceSubstrate {
-		return nil, fmt.Errorf("core: Resume does not support ReferenceSubstrate")
 	}
 	now := s.eng.Now()
 	until := simtime.Time(cfg.Duration)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -219,6 +220,41 @@ func TestSessionValidatesLikeRun(t *testing.T) {
 	}
 	if _, err := s.Run(good); err != nil {
 		t.Fatalf("session poisoned by rejected configs: %v", err)
+	}
+}
+
+// TestSnapshotRejectsEveryTicker: a pending Every occurrence carries a
+// ticker argument that no checkpoint kind encodes, so Snapshot must fail
+// with sched.ErrUnknownEventArg rather than capture an event it cannot
+// rebind. The same prefix without the ticker snapshots cleanly.
+func TestSnapshotRejectsEveryTicker(t *testing.T) {
+	cfg := RunConfig{
+		System:     testSystem(t),
+		Exec:       exectime.Nominal{},
+		Middleware: Config{Mode: ModeOpen, InnerPeriod: simtime.Second},
+		Duration:   5 * simtime.Second,
+	}
+	s := NewSession()
+	if err := s.RunPartial(cfg, simtime.At(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatalf("Snapshot without a ticker: %v", err)
+	}
+
+	ticks := 0
+	cfg.Attach = func(eng *simtime.Engine, _ *taskmodel.State) {
+		eng.Every(100*simtime.Millisecond, func(simtime.Time) { ticks++ })
+	}
+	if err := s.RunPartial(cfg, simtime.At(2)); err != nil {
+		t.Fatal(err)
+	}
+	if ticks == 0 {
+		t.Fatal("ticker never fired; the prefix did not exercise Every")
+	}
+	_, err := s.Snapshot()
+	if !errors.Is(err, sched.ErrUnknownEventArg) {
+		t.Fatalf("Snapshot with a pending Every tick: err = %v, want one wrapping sched.ErrUnknownEventArg", err)
 	}
 }
 

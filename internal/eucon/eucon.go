@@ -34,9 +34,10 @@
 // previous period's eigenvector). All scratch lives on the Controller;
 // steady-state Step performs zero heap allocations.
 //
-// Reference retains the allocation-heavy, obviously-correct implementation
-// of the same controller; the golden-equivalence tests pin the two to
-// bit-identical control sequences over the paper's scenarios.
+// The package tests retain Reference, an allocation-heavy,
+// obviously-correct implementation of the same controller; the
+// golden-equivalence tests pin the two to bit-identical control sequences
+// over the paper's scenarios.
 package eucon
 
 import (

@@ -22,9 +22,8 @@ import (
 // divergence can only come from the optimized hot path's buffer reuse —
 // a stale value, a missed reset, cross-period state leakage — which is
 // precisely the class of bug a zero-allocation refactor can introduce.
-// Reference is test infrastructure, not a production controller; it stays
-// in the main package (not _test.go) so benchmarks can measure the cost of
-// the naive path.
+// Reference is test infrastructure, not a production controller, so it
+// lives in a _test.go file and stays out of the product build.
 type Reference struct {
 	state *taskmodel.State
 	cfg   Config

@@ -245,11 +245,11 @@ func TestAllowHygiene(t *testing.T) {
 // markers proven by hotpathalloc's escape replay, as the colfmt column
 // encoders do.
 const (
-	repoAllowCount     = 76 // updated by TestAnnotationInventory's failure output
+	repoAllowCount     = 73 // -3: Engine.Schedule/After deleted (their nil-callback and negative-delay allows); one nil-callback check in enqueue
 	repoStickyCount    = 26 // +2: checkpoint warm state (recycled capture scratch)
-	repoNoallocCount   = 27 // +6: serve serialize/metrics leaves, colfmt.AppendMagic + AppendRun (stdlib append callees block certify)
+	repoNoallocCount   = 25 // -2: Engine.Schedule/After deleted with the closure event form
 	repoCertifyCount   = 19 // +1: serve.Registry.observe (per-request metrics fold)
-	repoHookpointCount = 20
+	repoHookpointCount = 17 // -3: Run/RunBefore/Step dispatch one callback form, not two
 )
 
 func TestAnnotationInventory(t *testing.T) {

@@ -21,18 +21,22 @@ var MapIter = &Analyzer{
 }
 
 // orderSinkMethods are method names that feed order-sensitive consumers:
-// the simtime event queue (Schedule/After/Every), the trace recorder (Add,
+// the simtime event queue (ScheduleCall/ScheduleCallPre/AfterCall/Every;
+// same-instant events fire in scheduling order), the trace recorder (Add,
 // Record), and queue-like structures.
 var orderSinkMethods = map[string]bool{
-	"Schedule": true,
-	"After":    true,
-	"Every":    true,
-	"Emit":     true,
-	"Push":     true,
-	"Enqueue":  true,
-	"Publish":  true,
-	"Record":   true,
-	"Add":      true,
+	"Schedule":        true,
+	"ScheduleCall":    true,
+	"ScheduleCallPre": true,
+	"After":           true,
+	"AfterCall":       true,
+	"Every":           true,
+	"Emit":            true,
+	"Push":            true,
+	"Enqueue":         true,
+	"Publish":         true,
+	"Record":          true,
+	"Add":             true,
 }
 
 func runMapIter(pass *Pass) {

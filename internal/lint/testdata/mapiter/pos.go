@@ -36,3 +36,26 @@ func feedSink(m map[string]float64, rec recorder) {
 		rec.Add(name, v) // want "order-sensitive sink"
 	}
 }
+
+// engine stands in for the simtime event queue: events scheduled for the
+// same instant fire in scheduling order, so map order would leak into the
+// simulation.
+type engine struct{}
+
+func (engine) ScheduleCall(at int64, fn func(int64, any), arg any) uint64    { return 0 }
+func (engine) ScheduleCallPre(at int64, fn func(int64, any), arg any) uint64 { return 0 }
+func (engine) AfterCall(d int64, fn func(int64, any), arg any) uint64        { return 0 }
+
+func fire(int64, any) {}
+
+func scheduleInRange(m map[string]*int, eng engine) {
+	for _, p := range m {
+		eng.ScheduleCall(1, fire, p) // want "order-sensitive sink"
+	}
+	for _, p := range m {
+		eng.ScheduleCallPre(1, fire, p) // want "order-sensitive sink"
+	}
+	for _, p := range m {
+		eng.AfterCall(1, fire, p) // want "order-sensitive sink"
+	}
+}

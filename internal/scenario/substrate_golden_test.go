@@ -2,19 +2,60 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/autoe2e/autoe2e/internal/core"
 	"github.com/autoe2e/autoe2e/internal/sched"
+	"github.com/autoe2e/autoe2e/internal/simtime"
+	"github.com/autoe2e/autoe2e/internal/taskmodel"
 )
 
-// runOnSubstrate executes one scenario on either the pooled or the
-// reference scheduling substrate and returns every observable output: the
-// full CSV dump of the recorded time series, the ordered chain-event log,
-// the final counters, and the final operating point.
+// runReference is the naive pipeline the substrate golden compares
+// core.Run against: a fresh engine, the retained naive scheduler
+// (sched.Reference) and a fresh middleware, assembled here from exported
+// API only, in the order a cold Session assembles the pooled substrate.
+// OnInnerTick cannot be wired from outside package core, so a config that
+// sets it is refused rather than silently run without it.
+func runReference(cfg core.RunConfig) (*core.RunResult, error) {
+	if cfg.OnInnerTick != nil {
+		return nil, fmt.Errorf("reference substrate: OnInnerTick is not supported")
+	}
+	eng := simtime.NewEngine()
+	state := taskmodel.NewState(cfg.System)
+	if cfg.Setup != nil {
+		cfg.Setup(state)
+	}
+	scheduler := sched.NewReference(eng, state, sched.Config{
+		Exec:      cfg.Exec,
+		LinkDelay: cfg.LinkDelay,
+		OnChain:   cfg.OnChain,
+	})
+	mw, err := core.NewMiddleware(eng, scheduler, cfg.Middleware, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range cfg.Events {
+		eng.ScheduleCall(ev.At, func(simtime.Time, any) { ev.Do(state) }, nil)
+	}
+	if cfg.Attach != nil {
+		cfg.Attach(eng, state)
+	}
+	scheduler.Start()
+	mw.Start()
+	eng.Run(simtime.Time(cfg.Duration))
+	if err := mw.Err(); err != nil {
+		return nil, err
+	}
+	return &core.RunResult{Trace: mw.Recorder(), Counters: scheduler.Counters(), State: state}, nil
+}
+
+// runOnSubstrate executes one scenario on either the pooled substrate
+// (core.Run) or the naive reference pipeline and returns every observable
+// output: the full CSV dump of the recorded time series, the ordered
+// chain-event log, the final counters, and the final operating point.
 func runOnSubstrate(t *testing.T, cfg core.RunConfig, reference bool) (csv []byte, chains []sched.ChainEvent, res *core.RunResult) {
 	t.Helper()
-	cfg.ReferenceSubstrate = reference
 	userOnChain := cfg.OnChain
 	cfg.OnChain = func(ev sched.ChainEvent) {
 		chains = append(chains, ev)
@@ -22,7 +63,11 @@ func runOnSubstrate(t *testing.T, cfg core.RunConfig, reference bool) (csv []byt
 			userOnChain(ev)
 		}
 	}
-	res, err := core.Run(cfg)
+	run := core.Run
+	if reference {
+		run = runReference
+	}
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatalf("run (reference=%v): %v", reference, err)
 	}
@@ -73,9 +118,11 @@ func requireSubstrateEquivalence(t *testing.T, mk func() core.RunConfig) {
 // pooled discrete-event substrate: full closed-loop experiments — the
 // Figure 3 motivation run, a Figure 4 saturation point, the Figure 9
 // testbed restore, and the Figure 11 simulated acceleration under both
-// EUCON and AutoE2E — must be byte-identical between the pooled scheduler
-// and the retained naive reference, down to every recorded sample, chain
-// event, counter, and the final operating point.
+// EUCON and AutoE2E — must be byte-identical between core.Run (a cold
+// Session on the pooled scheduler) and the naive reference pipeline, down
+// to every recorded sample, chain event, counter, and the final operating
+// point. The session golden tests then tie warm Sessions to core.Run, so
+// the chain naive ≡ cold ≡ warm is whole.
 func TestSubstrateGoldenClosedLoops(t *testing.T) {
 	cases := []struct {
 		name string

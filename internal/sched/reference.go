@@ -9,12 +9,13 @@ import (
 )
 
 // Reference is the retained naive scheduler: a fresh chain and job per
-// release, a closure per scheduled event, and a map for the release-guard
-// state. It issues exactly the same engine calls in exactly the same order
-// as the pooled Scheduler, so the two produce byte-identical traces —
-// chain events, utilization samples, counters — over any workload. The
-// golden tests rely on that to certify the pooled substrate; Reference is
-// never used on a hot path.
+// release, a closure per scheduled event (dispatched through the
+// callClosure trampoline), and a map for the release-guard state. It
+// issues exactly the same engine calls in exactly the same order as the
+// pooled Scheduler, so the two produce byte-identical traces — chain
+// events, utilization samples, counters — over any workload. The golden
+// tests rely on that to certify the pooled substrate; Reference is never
+// used on a hot path.
 type Reference struct {
 	eng   *simtime.Engine
 	sys   *taskmodel.System
@@ -50,6 +51,11 @@ func NewReference(eng *simtime.Engine, state *taskmodel.State, cfg Config) *Refe
 	return s
 }
 
+// callClosure is the engine trampoline for every Reference event: the event
+// argument is the closure itself, so the oracle keeps paying the
+// closure-per-event cost the pooled Scheduler's typed trampolines avoid.
+func callClosure(now simtime.Time, arg any) { arg.(func(simtime.Time))(now) }
+
 // State returns the operating point the scheduler reads rates and ratios
 // from.
 func (s *Reference) State() *taskmodel.State { return s.state }
@@ -63,7 +69,7 @@ func (s *Reference) Start() {
 	s.started = true
 	for ti := range s.sys.Tasks {
 		ti := taskmodel.TaskID(ti)
-		s.eng.Schedule(s.eng.Now(), func(now simtime.Time) { s.releaseFirst(ti, now) })
+		s.eng.ScheduleCall(s.eng.Now(), callClosure, func(now simtime.Time) { s.releaseFirst(ti, now) })
 	}
 }
 
@@ -118,8 +124,8 @@ func (s *Reference) releaseFirst(ti taskmodel.TaskID, now simtime.Time) {
 	// The deadline event aborts the chain if it has not completed. It is
 	// scheduled before the next release so that, at equal timestamps, the
 	// previous instance resolves before a new one starts.
-	s.eng.Schedule(c.deadline, func(simtime.Time) { s.chainDeadline(c) })
-	s.eng.Schedule(now.Add(period), func(next simtime.Time) { s.releaseFirst(ti, next) })
+	s.eng.ScheduleCall(c.deadline, callClosure, func(simtime.Time) { s.chainDeadline(c) })
+	s.eng.ScheduleCall(now.Add(period), callClosure, func(next simtime.Time) { s.releaseFirst(ti, next) })
 	s.releaseStage(c, 0, now)
 }
 
@@ -136,7 +142,7 @@ func (s *Reference) releaseStage(c *refChain, stage int, now simtime.Time) {
 		}
 	}
 	if at > now {
-		s.eng.Schedule(at, func(t simtime.Time) { s.admitJob(c, stage, t) })
+		s.eng.ScheduleCall(at, callClosure, func(t simtime.Time) { s.admitJob(c, stage, t) })
 		return
 	}
 	s.admitJob(c, stage, now)
@@ -183,7 +189,7 @@ func (s *Reference) jobFinished(j *refJob, now simtime.Time) {
 			delay = s.cfg.LinkDelay(from, to)
 		}
 		if delay > 0 {
-			s.eng.Schedule(now.Add(delay), func(t simtime.Time) {
+			s.eng.ScheduleCall(now.Add(delay), callClosure, func(t simtime.Time) {
 				if !c.dead {
 					s.releaseStage(c, next, t)
 				}
@@ -304,7 +310,7 @@ func (e *refECURunner) dispatch(now simtime.Time) {
 	next := heap.Pop(&e.ready).(*refJob)
 	e.running = next
 	e.startedAt = now
-	e.completion = e.sched.eng.Schedule(now.Add(next.remaining), e.complete)
+	e.completion = e.sched.eng.ScheduleCall(now.Add(next.remaining), callClosure, e.complete)
 }
 
 // haltRunning stops the running job, charging its elapsed CPU time and

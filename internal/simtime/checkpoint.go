@@ -56,11 +56,10 @@ func (cp *EngineCheckpoint) Pending() int { return len(cp.heap) }
 // CaptureFrom overwrites cp with a deep copy of e's state, recycling cp's
 // backing arrays so repeated snapshots are allocation-free at steady state.
 // encode translates each queued event's argument to its symbolic form; it
-// should return an error for arguments it does not recognize (closures,
-// tickers), which makes the snapshot fail loudly instead of silently
-// capturing state that cannot be rebound to another session. Closure events
-// scheduled through Schedule (EventFunc) are rejected here for the same
-// reason. On error cp's contents are unspecified; it remains valid as a
+// should return an error for arguments it does not recognize (such as
+// Every's tickers), which makes the snapshot fail loudly instead of
+// silently capturing state that cannot be rebound to another session. On
+// error cp's contents are unspecified; it remains valid as a
 // CaptureFrom destination.
 func (cp *EngineCheckpoint) CaptureFrom(e *Engine, encode func(arg any) (EventArg, error)) error {
 	cp.now = e.now
@@ -71,9 +70,6 @@ func (cp *EngineCheckpoint) CaptureFrom(e *Engine, encode func(arg any) (EventAr
 		s := &e.slots[i]
 		sc := slotCheckpoint{at: s.at, seq: s.seq, gen: s.gen, heapIdx: s.heapIdx, pre: s.pre}
 		if s.heapIdx >= 0 {
-			if s.fn != nil {
-				return fmt.Errorf("simtime: snapshot: pending closure event at %v (slot %d); only ScheduleCall events with registered argument types are checkpointable", s.at, i)
-			}
 			a, err := encode(s.arg)
 			if err != nil {
 				return fmt.Errorf("simtime: snapshot: pending event at %v (slot %d): %w", s.at, i, err)
@@ -104,7 +100,6 @@ func (cp *EngineCheckpoint) RestoreTo(e *Engine, decode func(arg EventArg) any) 
 		sc := &cp.slots[i]
 		s := &e.slots[i]
 		s.at, s.seq, s.gen, s.heapIdx, s.pre = sc.at, sc.seq, sc.gen, sc.heapIdx, sc.pre
-		s.fn = nil
 		if sc.heapIdx >= 0 {
 			s.call = sc.call
 			s.arg = decode(sc.arg)

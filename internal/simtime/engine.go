@@ -4,15 +4,16 @@ import (
 	"fmt"
 )
 
-// EventFunc is the body of a scheduled event. It runs with the engine clock
-// set to the event's instant and may schedule further events.
+// EventFunc is the body of a periodic process installed with Every. It
+// runs with the engine clock set to the occurrence's instant and may
+// schedule further events.
 type EventFunc func(now Time)
 
-// CallFunc is the body of a closure-free scheduled event: a long-lived
-// function (typically package-level) invoked with the argument captured at
-// scheduling time. Hot paths that would otherwise allocate one closure per
-// event pre-bind a CallFunc once and pass per-event state through arg —
-// a pointer-shaped arg makes ScheduleCall allocation-free.
+// CallFunc is the body of a scheduled event: a long-lived function
+// (typically package-level) invoked with the argument captured at
+// scheduling time. Per-event state travels through arg, so scheduling
+// builds no closure — a pointer-shaped arg makes ScheduleCall
+// allocation-free.
 type CallFunc func(now Time, arg any)
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -35,7 +36,6 @@ type eventSlot struct {
 	gen     uint32 // bumped on release; stale IDs fail the generation check
 	heapIdx int32  // position in the index heap, -1 when not queued
 	pre     bool   // pre-band: orders before non-pre events at the same instant
-	fn      EventFunc
 	call    CallFunc
 	arg     any
 }
@@ -50,9 +50,10 @@ type eventSlot struct {
 // Internally the engine is a slot arena with an index heap: event state
 // lives in a flat []eventSlot recycled through a free list, the heap orders
 // slot indices by (time, sequence), and EventIDs carry slot+generation so
-// Cancel needs no map. After warm-up the engine performs no heap
-// allocations; ReferenceEngine retains the naive boxed implementation the
-// equivalence tests compare against.
+// Cancel needs no map. Every event is a CallFunc plus its argument, so
+// after warm-up the engine performs no heap allocations; the only closure
+// form is Every, which builds one ticker per call and re-arms through
+// AfterCall.
 type Engine struct {
 	now     Time
 	slots   []eventSlot
@@ -79,7 +80,7 @@ func (e *Engine) Reset() {
 		s.gen++
 		s.heapIdx = -1
 		s.pre = false
-		s.fn, s.call, s.arg = nil, nil, nil
+		s.call, s.arg = nil, nil
 	}
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
@@ -94,31 +95,13 @@ func (e *Engine) Reset() {
 // Now reports the current simulated instant.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule enqueues fn to run at the given absolute instant. Scheduling in
+// ScheduleCall enqueues fn(at, arg) to run at the given absolute instant.
+// fn is a long-lived function and arg carries the per-event state, so
+// scheduling allocates nothing when arg is pointer-shaped. Scheduling in
 // the past (before Now) panics: it would silently reorder causality, which
 // is always a bug in the caller.
-//
-// The fn value itself is stored without allocating, but building a fresh
-// closure at the call site costs one allocation per event; steady-state
-// code should pre-bind a CallFunc and use ScheduleCall instead.
-//
-//lint:noalloc
-func (e *Engine) Schedule(at Time, fn EventFunc) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil EventFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
-	}
-	return e.enqueue(at, fn, nil, nil, false)
-}
-
-// ScheduleCall enqueues fn(at, arg) to run at the given absolute instant.
-// It is the closure-free counterpart of Schedule: fn is a long-lived
-// function and arg carries the per-event state, so scheduling allocates
-// nothing when arg is pointer-shaped. Scheduling in the past panics.
 func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
-	}
-	return e.enqueue(at, nil, fn, arg, false)
+	return e.enqueue(at, fn, arg, false)
 }
 
 // ScheduleCallPre enqueues fn(at, arg) in the pre-band of the given instant:
@@ -134,24 +117,10 @@ func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
 // after earlier configured events at the instant, before runtime events —
 // which is what fork-vs-replay byte-identity requires.
 func (e *Engine) ScheduleCallPre(at Time, fn CallFunc, arg any) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
-	}
-	return e.enqueue(at, nil, fn, arg, true)
+	return e.enqueue(at, fn, arg, true)
 }
 
-// After enqueues fn to run d after the current instant.
-//
-//lint:noalloc
-func (e *Engine) After(d Duration, fn EventFunc) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow hotpathalloc,panicguard panic-path boxing; a negative delay is a caller bug
-	}
-	return e.Schedule(e.now.Add(d), fn)
-}
-
-// AfterCall enqueues fn(now, arg) to run d after the current instant — the
-// closure-free counterpart of After.
+// AfterCall enqueues fn(now, arg) to run d after the current instant.
 func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow hotpathalloc,panicguard panic-path boxing; a negative delay is a caller bug
@@ -160,7 +129,10 @@ func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 }
 
 // enqueue places one event into a recycled (or fresh) slot and the heap.
-func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool) EventID {
+func (e *Engine) enqueue(at Time, call CallFunc, arg any, pre bool) EventID {
+	if call == nil {
+		panic("simtime: schedule with nil CallFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now)) //lint:allow hotpathalloc,panicguard panic-path boxing; scheduling in the past silently reorders causality
 	}
@@ -175,20 +147,20 @@ func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool
 	}
 	s := &e.slots[idx]
 	s.at, s.seq, s.pre = at, e.nextSeq, pre
-	s.fn, s.call, s.arg = fn, call, arg
+	s.call, s.arg = call, arg
 	e.heapPush(idx)
 	return EventID(uint64(idx+1) | uint64(s.gen)<<32)
 }
 
 // release returns a slot to the free list and invalidates outstanding
 // EventIDs for it by bumping the generation. Callback references are
-// cleared so the arena does not retain dead closures or arguments.
+// cleared so the arena does not retain dead arguments.
 func (e *Engine) release(idx uint32) {
 	s := &e.slots[idx]
 	s.gen++
 	s.heapIdx = -1
 	s.pre = false
-	s.fn, s.call, s.arg = nil, nil, nil
+	s.call, s.arg = nil, nil
 	e.free = append(e.free, idx)
 }
 
@@ -239,15 +211,11 @@ func (e *Engine) Run(until Time) {
 		// Copy out before releasing: the slot may be reused by events the
 		// callback schedules, and its generation bump is what makes a
 		// Cancel of the currently executing event a no-op.
-		at, fn, call, arg := s.at, s.fn, s.call, s.arg
+		at, call, arg := s.at, s.call, s.arg
 		e.heapPopTop()
 		e.release(idx)
 		e.now = at
-		if call != nil {
-			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		} else {
-			fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		}
+		call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
 	}
 	if !e.stopped && e.now < until {
 		e.now = until
@@ -269,15 +237,11 @@ func (e *Engine) RunBefore(t Time) {
 		if s.at >= t {
 			return
 		}
-		at, fn, call, arg := s.at, s.fn, s.call, s.arg
+		at, call, arg := s.at, s.call, s.arg
 		e.heapPopTop()
 		e.release(idx)
 		e.now = at
-		if call != nil {
-			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		} else {
-			fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		}
+		call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
 	}
 }
 
@@ -292,15 +256,11 @@ func (e *Engine) Step() bool {
 	}
 	idx := e.heap[0]
 	s := &e.slots[idx]
-	at, fn, call, arg := s.at, s.fn, s.call, s.arg
+	at, call, arg := s.at, s.call, s.arg
 	e.heapPopTop()
 	e.release(idx)
 	e.now = at
-	if call != nil {
-		call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-	} else {
-		fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-	}
+	call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
 	return true
 }
 
@@ -331,7 +291,10 @@ func tickerFire(now Time, arg any) {
 // a stop function that cancels the pending occurrence; an fn currently
 // executing is unaffected (calling stop from inside fn suppresses the
 // re-arm). Periodic samplers and physics steppers use this instead of
-// hand-rolled rescheduling closures.
+// hand-rolled rescheduling. It is the engine's one closure convenience:
+// the closure and its ticker are built once per call, every occurrence
+// re-arms through AfterCall, and a pending tick is not checkpointable
+// (Session.Snapshot rejects its argument).
 func (e *Engine) Every(period Duration, fn EventFunc) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("simtime: non-positive period %v", period))

@@ -44,9 +44,9 @@ func TestTimeArithmetic(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(At(3), func(Time) { order = append(order, 3) })
-	e.Schedule(At(1), func(Time) { order = append(order, 1) })
-	e.Schedule(At(2), func(Time) { order = append(order, 2) })
+	e.ScheduleCall(At(3), func(Time, any) { order = append(order, 3) }, nil)
+	e.ScheduleCall(At(1), func(Time, any) { order = append(order, 1) }, nil)
+	e.ScheduleCall(At(2), func(Time, any) { order = append(order, 2) }, nil)
 	e.Run(At(10))
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -64,7 +64,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(At(1), func(Time) { order = append(order, i) })
+		e.ScheduleCall(At(1), func(Time, any) { order = append(order, i) }, nil)
 	}
 	e.Run(At(2))
 	for i := 0; i < 10; i++ {
@@ -77,14 +77,14 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick EventFunc
-	tick = func(now Time) {
+	var tick CallFunc
+	tick = func(Time, any) {
 		count++
 		if count < 5 {
-			e.After(Second, tick)
+			e.AfterCall(Second, tick, nil)
 		}
 	}
-	e.Schedule(0, tick)
+	e.ScheduleCall(0, tick, nil)
 	e.Run(At(100))
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
@@ -97,7 +97,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntilBoundary(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(At(5), func(Time) { ran = true })
+	e.ScheduleCall(At(5), func(Time, any) { ran = true }, nil)
 	e.Run(At(4))
 	if ran {
 		t.Fatal("event at 5s ran with horizon 4s")
@@ -114,7 +114,7 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	id := e.Schedule(At(1), func(Time) { ran = true })
+	id := e.ScheduleCall(At(1), func(Time, any) { ran = true }, nil)
 	if !e.Cancel(id) {
 		t.Fatal("Cancel reported not pending")
 	}
@@ -133,7 +133,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	ids := make([]EventID, 0, 5)
 	for i := 1; i <= 5; i++ {
 		i := i
-		ids = append(ids, e.Schedule(At(float64(i)), func(Time) { order = append(order, i) }))
+		ids = append(ids, e.ScheduleCall(At(float64(i)), func(Time, any) { order = append(order, i) }, nil))
 	}
 	e.Cancel(ids[2]) // the event at 3s
 	e.Run(At(10))
@@ -152,12 +152,12 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		e.Schedule(At(float64(i)), func(Time) {
+		e.ScheduleCall(At(float64(i)), func(Time, any) {
 			count++
 			if count == 2 {
 				e.Stop()
 			}
-		})
+		}, nil)
 	}
 	e.Run(At(10))
 	if count != 2 {
@@ -170,21 +170,21 @@ func TestEngineStop(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(At(5), func(Time) {})
+	e.ScheduleCall(At(5), func(Time, any) {}, nil)
 	e.Run(At(5))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(At(1), func(Time) {})
+	e.ScheduleCall(At(1), func(Time, any) {}, nil)
 }
 
 func TestStepObservesIntermediateState(t *testing.T) {
 	e := NewEngine()
 	var seen []Time
-	e.Schedule(At(1), func(now Time) { seen = append(seen, now) })
-	e.Schedule(At(2), func(now Time) { seen = append(seen, now) })
+	e.ScheduleCall(At(1), func(now Time, _ any) { seen = append(seen, now) }, nil)
+	e.ScheduleCall(At(2), func(now Time, _ any) { seen = append(seen, now) }, nil)
 	if !e.Step() {
 		t.Fatal("Step = false with pending events")
 	}
@@ -242,7 +242,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var times []Time
 		for _, off := range offsets {
 			at := Time(off)
-			e.Schedule(at, func(now Time) { times = append(times, now) })
+			e.ScheduleCall(at, func(now Time, _ any) { times = append(times, now) }, nil)
 		}
 		e.Run(Never - 1)
 		for i := 1; i < len(times); i++ {

@@ -31,12 +31,12 @@ func newEnginePair() *enginePair {
 
 func (p *enginePair) schedule(at Time) {
 	label := len(p.pooledIDs)
-	p.pooledIDs = append(p.pooledIDs, p.pooled.Schedule(at, func(now Time) {
+	p.pooledIDs = append(p.pooledIDs, p.pooled.ScheduleCall(at, func(now Time, _ any) {
 		p.pooledLog = append(p.pooledLog, firing{label, now})
-	}))
-	p.refIDs = append(p.refIDs, p.ref.Schedule(at, func(now Time) {
+	}, nil))
+	p.refIDs = append(p.refIDs, p.ref.ScheduleCall(at, func(now Time, _ any) {
 		p.refLog = append(p.refLog, firing{label, now})
-	}))
+	}, nil))
 }
 
 func (p *enginePair) cancel(t *testing.T, op int) {
@@ -137,12 +137,12 @@ func TestEngineEqualTimestampFuzz(t *testing.T) {
 func TestEngineCancelledSlotNotFiredUnderStaleID(t *testing.T) {
 	e := NewEngine()
 	aRan, bRan := false, false
-	idA := e.Schedule(At(1), func(Time) { aRan = true })
+	idA := e.ScheduleCall(At(1), func(Time, any) { aRan = true }, nil)
 	if !e.Cancel(idA) {
 		t.Fatal("first Cancel reported not pending")
 	}
 	// The freed slot is the only one on the free list, so B reuses it.
-	idB := e.Schedule(At(2), func(Time) { bRan = true })
+	idB := e.ScheduleCall(At(2), func(Time, any) { bRan = true }, nil)
 	if uint32(idA) != uint32(idB) {
 		t.Fatalf("test setup: B (id %#x) did not reuse A's slot (id %#x)", idB, idA)
 	}
@@ -165,11 +165,11 @@ func TestEngineCancelAlreadyPopped(t *testing.T) {
 	e := NewEngine()
 	var idA EventID
 	selfCancel := true
-	idA = e.Schedule(At(1), func(Time) {
+	idA = e.ScheduleCall(At(1), func(Time, any) {
 		selfCancel = e.Cancel(idA)
-	})
+	}, nil)
 	bRan := false
-	e.Schedule(At(2), func(Time) { bRan = true })
+	e.ScheduleCall(At(2), func(Time, any) { bRan = true }, nil)
 	e.Run(At(1))
 	if selfCancel {
 		t.Fatal("Cancel of the currently executing event reported pending")
@@ -191,12 +191,12 @@ func TestEngineStopMidEventWithPooledSlots(t *testing.T) {
 	var order []int
 	for i := 1; i <= 5; i++ {
 		i := i
-		e.Schedule(At(float64(i)), func(Time) {
+		e.ScheduleCall(At(float64(i)), func(Time, any) {
 			order = append(order, i)
 			if i == 2 {
 				e.Stop()
 			}
-		})
+		}, nil)
 	}
 	e.Run(At(10))
 	if len(order) != 2 || e.Pending() != 3 {
@@ -206,7 +206,7 @@ func TestEngineStopMidEventWithPooledSlots(t *testing.T) {
 		t.Fatalf("Now = %v after Stop, want the stopping instant 2s", e.Now())
 	}
 	// Scheduling while stopped must take fresh or safely recycled slots.
-	e.Schedule(At(2.5), func(Time) { order = append(order, 25) })
+	e.ScheduleCall(At(2.5), func(Time, any) { order = append(order, 25) }, nil)
 	e.Run(At(10))
 	want := []int{1, 2, 25, 3, 4, 5}
 	if len(order) != len(want) {
@@ -228,7 +228,7 @@ func TestEveryStopFromSiblingEvent(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	stop := e.Every(Second, func(Time) { count++ })
-	e.Schedule(At(3), func(Time) { stop() })
+	e.ScheduleCall(At(3), func(Time, any) { stop() }, nil)
 	e.Run(At(10))
 	if count != 2 {
 		t.Fatalf("count = %d, want 2 ticks before the sibling stop cancels the armed tick at 3s", count)

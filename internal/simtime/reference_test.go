@@ -6,13 +6,13 @@ import (
 )
 
 // ReferenceEngine is the retained naive discrete-event engine: boxed
-// per-event allocations, a live map for cancellation, and closure-based
-// re-arming in Every. It is semantically identical to Engine — same
-// (time, sequence) total order, same clock rules, same Cancel contract —
-// and exists so the equivalence tests can require that the pooled
-// slot-arena engine fires exactly the same events at exactly the same
-// instants over randomized schedule/cancel sequences. It is not used on
-// any hot path.
+// per-event allocations, a closure per event, a live map for
+// cancellation, and closure-based re-arming in Every. It mirrors Engine's
+// scheduling API and is semantically identical to it — same (time,
+// sequence) total order, same clock rules, same Cancel contract — so the
+// equivalence tests can require that the pooled slot-arena engine fires
+// exactly the same events at exactly the same instants over randomized
+// schedule/cancel sequences.
 type ReferenceEngine struct {
 	now     Time
 	queue   refEventHeap
@@ -72,14 +72,11 @@ func NewReferenceEngine() *ReferenceEngine {
 // Now reports the current simulated instant.
 func (e *ReferenceEngine) Now() Time { return e.now }
 
-// Schedule enqueues fn to run at the given absolute instant. Scheduling in
-// the past panics, exactly as Engine.Schedule does.
-func (e *ReferenceEngine) Schedule(at Time, fn EventFunc) EventID {
+// schedule enqueues fn to run at the given absolute instant. Scheduling in
+// the past panics, exactly as Engine.ScheduleCall does.
+func (e *ReferenceEngine) schedule(at Time, fn EventFunc) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("simtime: schedule with nil EventFunc")
 	}
 	e.nextSeq++
 	e.nextID++
@@ -89,22 +86,22 @@ func (e *ReferenceEngine) Schedule(at Time, fn EventFunc) EventID {
 	return ev.id
 }
 
-// ScheduleCall enqueues fn(at, arg): the reference engine implements the
-// closure-free API by boxing a closure, which is exactly the per-event cost
-// the pooled engine eliminates.
+// ScheduleCall enqueues fn(at, arg): the reference engine boxes a closure
+// per event, which is exactly the per-event cost the pooled engine
+// eliminates.
 func (e *ReferenceEngine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
 	if fn == nil {
 		panic("simtime: schedule with nil CallFunc")
 	}
-	return e.Schedule(at, func(now Time) { fn(now, arg) })
+	return e.schedule(at, func(now Time) { fn(now, arg) })
 }
 
-// After enqueues fn to run d after the current instant.
-func (e *ReferenceEngine) After(d Duration, fn EventFunc) EventID {
+// after enqueues fn to run d after the current instant.
+func (e *ReferenceEngine) after(d Duration, fn EventFunc) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d))
 	}
-	return e.Schedule(e.now.Add(d), fn)
+	return e.schedule(e.now.Add(d), fn)
 }
 
 // AfterCall enqueues fn(now, arg) to run d after the current instant.
@@ -181,10 +178,10 @@ func (e *ReferenceEngine) Every(period Duration, fn EventFunc) (stop func()) {
 	tick = func(now Time) {
 		fn(now)
 		if !stopped {
-			id = e.After(period, tick)
+			id = e.after(period, tick)
 		}
 	}
-	id = e.After(period, tick)
+	id = e.after(period, tick)
 	return func() {
 		stopped = true
 		e.Cancel(id)
